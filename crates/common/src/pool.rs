@@ -270,6 +270,11 @@ impl Drop for Pool {
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
+        // Bodies still parked hold `TaskHandle`s, which hold the shared
+        // state that holds the bodies: break that cycle. Taken out first so
+        // no body is dropped under the tasks lock (its `Drop` may wake).
+        let tasks = std::mem::take(&mut *lock_unpoisoned(&self.shared.tasks));
+        drop(tasks);
     }
 }
 
@@ -339,7 +344,14 @@ fn run_task(shared: &PoolShared, id: usize) {
     }
     let poll = {
         let mut body = lock_unpoisoned(&task.body);
-        (body)()
+        let poll = (body)();
+        if poll == Poll::Done {
+            // A finished body is never run again; swap it for a no-op so
+            // what it captured (its own `TaskHandle`s included, which hold
+            // the pool) is released now, not when the pool is torn down.
+            *body = Box::new(|| Poll::Done);
+        }
+        poll
     };
     match poll {
         Poll::Done => {
@@ -548,6 +560,42 @@ mod tests {
         assert!(pool.wait_idle(Duration::from_secs(30)));
         let (_, _, wakes) = pool.counters();
         assert_eq!(wakes, 32);
+    }
+
+    /// A body that holds its own handle forms a cycle through the pool's
+    /// task list; finishing the task, or dropping the pool, must break it
+    /// so everything the body captured is freed.
+    #[test]
+    fn dropped_pool_releases_task_bodies() {
+        let sentinel = Arc::new(());
+        {
+            let pool = Pool::new(2);
+            let mut handles = Vec::new();
+            for finishes in [true, false] {
+                let own: Arc<Mutex<Option<TaskHandle>>> = Arc::new(Mutex::new(None));
+                let (own2, sentinel2) = (Arc::clone(&own), Arc::clone(&sentinel));
+                let h = pool.spawn(move || {
+                    let _held = (&own2, &sentinel2);
+                    if finishes {
+                        Poll::Done
+                    } else {
+                        Poll::Pending
+                    }
+                });
+                *lock_unpoisoned(&own) = Some(h.clone());
+                handles.push(h);
+            }
+            for h in &handles {
+                h.wake();
+            }
+            // The finishing task's body is released as soon as it is Done.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Arc::strong_count(&sentinel) > 2 {
+                assert!(Instant::now() < deadline, "finished body was retained");
+                std::thread::yield_now();
+            }
+        }
+        assert_eq!(Arc::strong_count(&sentinel), 1);
     }
 
     #[test]

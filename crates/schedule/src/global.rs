@@ -11,11 +11,26 @@
 //! transaction, simply unioning the per-site serialization graphs yields
 //! exactly this quotient graph.
 //!
+//! The union is built from each site's **chain reduction**
+//! ([`crate::csr::add_chain_edges`]) rather than its full serialization
+//! graph: one pass per site, keeping per item only the last writer and the
+//! readers since it, with every edge going straight into the union graph
+//! and [`GlobalSerializationGraph::edge_sites`]. Each site's reduced graph
+//! has the same transitive closure as its full conflict graph (the proof
+//! is in [`crate::csr`]), and closure commutes with union, so the quotient
+//! graph's reachability — and therefore the verdict and the Kahn witness
+//! order — is identical, while construction is `O(ops)` instead of
+//! `O(ops²)` per site. The all-pairs build used to take ~87% of a
+//! simulated run's wall-clock: at a ticket site every global transaction
+//! writes the ticket, so the full graph is a clique. A reported cycle
+//! consists of real conflict edges, though not necessarily the one the
+//! full graph would yield.
+//!
 //! This module is the *auditor* used by experiments EXP-GS / EXP-IND: it
 //! answers "was this run of the whole MDBS globally serializable?" and, if
 //! not, produces a witness cycle naming the sites involved.
 
-use crate::csr::serialization_graph;
+use crate::csr::add_chain_edges;
 use crate::graph::DiGraph;
 use crate::history::History;
 use mdbs_common::ids::{SiteId, TxnId};
@@ -24,26 +39,27 @@ use std::collections::BTreeMap;
 /// The union (quotient) serialization graph of a set of local histories.
 #[derive(Clone, Debug)]
 pub struct GlobalSerializationGraph {
-    /// Quotient graph: one node per global transaction or local transaction.
+    /// Quotient graph: one node per global transaction or local
+    /// transaction, edges from the per-site chain reductions.
     pub graph: DiGraph<TxnId>,
-    /// For every edge, the sites inducing it (for diagnostics).
+    /// For every edge of [`graph`](Self::graph) — the reduced edges, not
+    /// every conflict pair — the sites whose histories induce it, in the
+    /// order the sites were given (for diagnostics).
     pub edge_sites: BTreeMap<(TxnId, TxnId), Vec<SiteId>>,
 }
 
 impl GlobalSerializationGraph {
-    /// Build from per-site histories.
+    /// Build from per-site histories, one pass over each.
     pub fn build<'a>(locals: impl IntoIterator<Item = (SiteId, &'a History)>) -> Self {
         let mut graph = DiGraph::new();
         let mut edge_sites: BTreeMap<(TxnId, TxnId), Vec<SiteId>> = BTreeMap::new();
         for (site, h) in locals {
-            let g = serialization_graph(h);
-            for n in g.nodes() {
-                graph.add_node(n);
-            }
-            for (a, b) in g.edges() {
-                graph.add_edge(a, b);
-                edge_sites.entry((a, b)).or_default().push(site);
-            }
+            add_chain_edges(h, &mut graph, |a, b| {
+                let sites = edge_sites.entry((a, b)).or_default();
+                if sites.last() != Some(&site) {
+                    sites.push(site);
+                }
+            });
         }
         GlobalSerializationGraph { graph, edge_sites }
     }
