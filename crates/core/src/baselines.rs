@@ -107,7 +107,7 @@ impl Gtm2Scheme for AbortingTo {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         _acted: &QueueOp,
         _wait: &WaitSet,
         steps: &mut StepCounter,
@@ -254,7 +254,7 @@ impl Gtm2Scheme for OptimisticTicket {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         _acted: &QueueOp,
         _wait: &WaitSet,
         steps: &mut StepCounter,

@@ -22,7 +22,7 @@
 //! `ser_k(G_i)` operations were acted — from which the serializability of
 //! `ser(S)` is checked (Theorems 3, 5, 8 empirically).
 
-use crate::scheme::{Gtm2Scheme, SchemeEffect, WaitKey, WaitSet};
+use crate::scheme::{Candidate, Gtm2Scheme, SchemeEffect, WaitSet};
 use crate::ser_s::SerSLog;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
 use mdbs_common::ops::{QueueOp, QueueOpKind};
@@ -91,7 +91,7 @@ pub struct Gtm2 {
     wake_scan: Histogram,
     /// Reusable buffer for the cascading wake worklist (no per-act
     /// allocation).
-    wake_buf: VecDeque<WaitKey>,
+    wake_buf: VecDeque<Candidate>,
     /// Structured event sink; `None` = tracing disabled (one branch, no
     /// formatting or allocation on the hot path).
     sink: Option<Box<dyn TraceSink + Send>>,
@@ -233,6 +233,7 @@ impl Gtm2 {
                 self.stats.waited += 1;
                 // mdbs-lint: allow(no-panic-in-scheduler) — kind_index maps the four QueueOp kinds to 0..=3, within the fixed-size array.
                 self.stats.waited_kind[kind_index(op.kind())] += 1;
+                self.scheme.on_wait(&op, true);
                 self.wait.insert(op);
                 self.stats.peak_wait = self.stats.peak_wait.max(self.wait.len() as u64);
             }
@@ -253,7 +254,7 @@ impl Gtm2 {
                        acted: &QueueOp,
                        woken: bool,
                        effects: &mut Vec<SchemeEffect>,
-                       candidates: &mut VecDeque<WaitKey>| {
+                       candidates: &mut VecDeque<Candidate>| {
             if let Some(sink) = &mut this.sink {
                 let ev = if woken {
                     SchedEvent::wake(acted)
@@ -286,28 +287,28 @@ impl Gtm2 {
             let wake = this
                 .scheme
                 .wake_candidates(acted, &this.wait, &mut this.steps);
-            let appended = this.wait.resolve_into(&wake, candidates);
-            this.wake_scan.observe(appended as u64);
+            let examined = this
+                .wait
+                .resolve_into(&wake, this.sink.is_some(), candidates);
+            this.wake_scan.observe(examined as u64);
         };
         // Reuse the engine-owned worklist (taken so the closure can borrow
         // `self` mutably alongside it).
         let mut candidates = std::mem::take(&mut self.wake_buf);
         candidates.clear();
         act_now(self, &op, false, effects, &mut candidates);
-        while let Some(key) = candidates.pop_front() {
-            // The op may have been woken (or re-examined) already.
-            let Some(waiting) = self.wait.remove(&key) else {
-                continue;
-            };
-            let eligible = self.scheme.cond(&waiting, &mut self.steps);
-            if let Some(sink) = &mut self.sink {
-                sink.record(self.clock, SchedEvent::cond(&waiting, eligible));
-            }
-            if eligible {
+        while let Some(candidate) = candidates.pop_front() {
+            let woken = retest(
+                candidate,
+                &mut self.wait,
+                self.scheme.as_mut(),
+                &mut self.steps,
+                &mut self.sink,
+                self.clock,
+            );
+            if let Some(woken) = woken {
                 // Act immediately; its own wake candidates join the queue.
-                act_now(self, &waiting, true, effects, &mut candidates);
-            } else {
-                self.wait.insert(waiting);
+                act_now(self, &woken, true, effects, &mut candidates);
             }
         }
         self.wake_buf = candidates;
@@ -331,6 +332,48 @@ impl Gtm2 {
                 }
             }
             QueueOpKind::Ser | QueueOpKind::Ack => {}
+        }
+    }
+}
+
+/// One re-test of Figure 3's inner loop, shared by [`Gtm2`] and
+/// [`ShardedGtm2`](crate::sharded::ShardedGtm2) so both run the same
+/// cascade semantics.
+///
+/// `cond` is evaluated on the waiting operation where it lies: an
+/// eligible one leaves WAIT (and the scheme's [`on_wait`] hook hears of
+/// it) and is returned for the caller to act; a failed re-test leaves
+/// WAIT untouched. A key no longer in WAIT (woken earlier in the cascade)
+/// is skipped. A [`Candidate::Charged`] re-test was proved to fail and
+/// charged by the scheme, so nothing runs; a sink still records its
+/// `cond = false`, keeping the trace identical to a literal re-test.
+///
+/// [`on_wait`]: Gtm2Scheme::on_wait
+pub(crate) fn retest(
+    candidate: Candidate,
+    wait: &mut WaitSet,
+    scheme: &mut dyn Gtm2Scheme,
+    steps: &mut StepCounter,
+    sink: &mut Option<Box<dyn TraceSink + Send>>,
+    clock: u64,
+) -> Option<QueueOp> {
+    match candidate {
+        Candidate::Retest(key) => {
+            let op = wait.take_if(&key, |op| {
+                let eligible = scheme.cond(op, steps);
+                if let Some(sink) = sink {
+                    sink.record(clock, SchedEvent::cond(op, eligible));
+                }
+                eligible
+            })?;
+            scheme.on_wait(&op, false);
+            Some(op)
+        }
+        Candidate::Charged(key) => {
+            if let (Some(sink), Some(op)) = (sink, wait.get(&key)) {
+                sink.record(clock, SchedEvent::cond(op, false));
+            }
+            None
         }
     }
 }

@@ -31,6 +31,12 @@
 //! - `wake_candidates` return symbolic [`WakeCandidates`] variants
 //!   (`SerAt`, `Fins`, …) resolved by the engine against the WAIT set
 //!   without allocating.
+//! - Scheme 1 charges an ack's fin re-tests in aggregate
+//!   ([`WakeCandidates::SerAtChargedFins`]): an ack cannot enable another
+//!   transaction's waiting fin, so those re-tests all fail. The literal
+//!   re-tests return on hostile input (DESIGN.md §3, *The single engine's
+//!   wake path*); skipped re-tests are counted by
+//!   `gtm2.wake_retests_aggregated`.
 
 use crate::scheme::{
     Gtm2Scheme, ProtocolViolationKind, SchemeEffect, WaitSet, WakeCandidates, WakeScope,
@@ -45,7 +51,7 @@ use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::{StepCounter, StepKind};
 use mdbs_common::{DenseBitSet, DenseInterner};
 use mdbs_schedule::UnionFind;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Scheme 0
@@ -158,7 +164,7 @@ impl Gtm2Scheme for Scheme0Dense {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,
@@ -241,6 +247,18 @@ pub struct Scheme1Dense {
     bridge_recomputes: u64,
     /// Scratch: (site slot, pre-init DSU root) per announced site.
     scratch_roots: Vec<(u32, u32)>,
+    /// Waiting fins, as reported through `on_wait` → the `cond` charge of
+    /// re-testing each, `1 + |Ĝ_i|`.
+    fin_wait: BTreeMap<GlobalTxnId, u64>,
+    /// Σ over `fin_wait`: the Cond charge of re-testing every waiting fin.
+    fin_wait_cost: u64,
+    /// A waiting fin's transaction was announced again, so that fin may
+    /// have become eligible with no re-test (hostile input only): the next
+    /// ack re-tests the fins literally.
+    fins_unverified: bool,
+    /// Fin re-tests charged in aggregate without running `cond`
+    /// (exported as `gtm2.wake_retests_aggregated`).
+    retests_aggregated: u64,
 }
 
 // mdbs-lint: allow(no-panic-in-scheduler, scope=item) — slot indices come from the interner and every row Vec is grown by ensure_*_rows/intern before use; the kernel-equivalence proptests and debug_validate exercise the invariant on random scripts.
@@ -278,6 +296,15 @@ impl Scheme1Dense {
 
     fn insert_front(&self, ss: u32) -> Option<GlobalTxnId> {
         self.insert_queues[ss as usize].front().copied()
+    }
+
+    /// `Ĝ_i` as `cond(fin_i)` reads it: empty for an unknown or finished
+    /// transaction.
+    fn announced(&self, txn: &GlobalTxnId) -> &[SiteId] {
+        self.txns
+            .slot_of(txn)
+            .and_then(|ts| self.sites_map[ts as usize].as_deref())
+            .unwrap_or(&[])
     }
 
     fn delete_front(&self, site: SiteId) -> Option<GlobalTxnId> {
@@ -334,11 +361,7 @@ impl Gtm2Scheme for Scheme1Dense {
                 true
             }
             QueueOp::Fin { txn } => {
-                let sites = self
-                    .txns
-                    .slot_of(txn)
-                    .and_then(|ts| self.sites_map[ts as usize].as_deref())
-                    .unwrap_or(&[]);
+                let sites = self.announced(txn);
                 steps.bump(StepKind::Cond, sites.len() as u64);
                 sites.iter().all(|&k| self.delete_front(k) == Some(*txn))
             }
@@ -375,6 +398,15 @@ impl Gtm2Scheme for Scheme1Dense {
                     self.insert_queues[ss as usize].push_back(*txn);
                 }
                 self.sites_map[ts as usize] = Some(sites.clone());
+                // A transaction announced again while its fin waits
+                // (hostile input): re-price that fin's re-test, whose
+                // outcome may have changed with no re-test to see it.
+                if let Some(cost) = self.fin_wait.get_mut(txn) {
+                    let repriced = 1 + sites.len() as u64;
+                    self.fin_wait_cost = self.fin_wait_cost - *cost + repriced;
+                    *cost = repriced;
+                    self.fins_unverified = true;
+                }
                 // Same V + E charge as the reference's bridge DFS — the
                 // union-find shortcut is a machine-cost optimization, not
                 // an accounting one.
@@ -523,25 +555,56 @@ impl Gtm2Scheme for Scheme1Dense {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,
     ) -> WakeCandidates {
         steps.tick(StepKind::WaitScan);
+        // `wait` is the whole WAIT set or one shard's partition of it;
+        // fins are siteless and all wait in one partition, so it holds
+        // every waiting fin or none.
+        let fins = wait.fin_count();
         match acted {
-            QueueOp::Ack { site, .. } => {
-                steps.bump(
-                    StepKind::WaitScan,
-                    (wait.ser_count_at(*site) + wait.fin_count()) as u64,
-                );
-                WakeCandidates::SerAtThenFins(*site)
+            QueueOp::Ack { txn, site } => {
+                steps.bump(StepKind::WaitScan, (wait.ser_count_at(*site) + fins) as u64);
+                if fins == 0 {
+                    return WakeCandidates::SerAt(*site);
+                }
+                // The ack appended G_j to one delete queue, which moves a
+                // front only if the queue was empty — and then to G_j. So
+                // no waiting fin_i with i ≠ j changed eligibility, and all
+                // of them failed their last re-test: charge their re-tests
+                // without running them. Literal fallback when fin_j itself
+                // waits (a fin ahead of its own ack) or a fin is unverified.
+                if self.fins_unverified || self.fin_wait.contains_key(txn) {
+                    self.fins_unverified = false;
+                    return WakeCandidates::SerAtThenFins(*site);
+                }
+                debug_assert_eq!(fins, self.fin_wait.len(), "on_wait saw every fin");
+                steps.bump(StepKind::Cond, self.fin_wait_cost);
+                self.retests_aggregated += fins as u64;
+                WakeCandidates::SerAtChargedFins(*site)
             }
             QueueOp::Fin { .. } => {
-                steps.bump(StepKind::WaitScan, wait.fin_count() as u64);
+                steps.bump(StepKind::WaitScan, fins as u64);
                 WakeCandidates::Fins
             }
             QueueOp::Init { .. } | QueueOp::Ser { .. } => WakeCandidates::None,
+        }
+    }
+
+    fn on_wait(&mut self, op: &QueueOp, waiting: bool) {
+        let QueueOp::Fin { txn } = op else {
+            return;
+        };
+        if let Some(cost) = self.fin_wait.remove(txn) {
+            self.fin_wait_cost -= cost;
+        }
+        if waiting {
+            let cost = 1 + self.announced(txn).len() as u64;
+            self.fin_wait.insert(*txn, cost);
+            self.fin_wait_cost += cost;
         }
     }
 
@@ -572,6 +635,7 @@ impl Gtm2Scheme for Scheme1Dense {
 
     fn export_metrics(&self, registry: &mut Registry) {
         registry.inc("gtm2.bridge_recompute", self.bridge_recomputes);
+        registry.inc("gtm2.wake_retests_aggregated", self.retests_aggregated);
     }
 }
 
@@ -812,7 +876,7 @@ impl Gtm2Scheme for Scheme2Dense {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,
@@ -1157,7 +1221,7 @@ impl Gtm2Scheme for Scheme3Dense {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

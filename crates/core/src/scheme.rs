@@ -19,7 +19,8 @@ use mdbs_common::instrument::Registry;
 use mdbs_common::ops::{QueueOp, QueueOpKind};
 use mdbs_common::step::StepCounter;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{self, Entry};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Unique identity of a queue operation (for the WAIT set). `site` is
 /// `None` for `Init`/`Fin`.
@@ -33,19 +34,17 @@ pub fn wait_key(op: &QueueOp) -> WaitKey {
 /// The WAIT set: waiting operations keyed by identity, with deterministic
 /// iteration order.
 ///
-/// Beyond the key-ordered map, the set maintains per-site/per-txn counters
-/// so schemes can charge their wake-scan steps (`|ser waiters at s_k|`,
-/// `|fin waiters|`, …) in O(log n) instead of allocating the key vector
-/// they are about to count — see [`WaitSet::resolve_into`] for the
-/// allocation-free companion that materializes candidates into a reused
-/// buffer.
+/// Beyond the key-ordered map, the set keeps a per-site index of waiting
+/// `Ser` transactions and per-kind counters, so schemes can
+/// charge their wake-scan steps (`|ser waiters at s_k|`, `|fin waiters|`,
+/// …) without allocating the key vector they are about to count, and
+/// [`WaitSet::resolve_into`] can walk exactly one site's `Ser` waiters.
 #[derive(Clone, Debug, Default)]
 pub struct WaitSet {
     ops: BTreeMap<WaitKey, QueueOp>,
-    /// Waiting `Ser` count per site.
-    ser_at: BTreeMap<SiteId, usize>,
-    /// Waiting `Ser` count per transaction.
-    ser_of: BTreeMap<GlobalTxnId, usize>,
+    /// Waiting `Ser` transactions per site, in txn order; a site with
+    /// none has no entry.
+    ser_at: BTreeMap<SiteId, BTreeSet<GlobalTxnId>>,
     /// Waiting `Fin` count.
     fins: usize,
     /// Waiting `Init` count.
@@ -62,16 +61,14 @@ impl WaitSet {
         match key.0 {
             QueueOpKind::Ser => {
                 if let Some(site) = key.2 {
-                    let c = self.ser_at.entry(site).or_default();
-                    *c = c.wrapping_add_signed(delta);
-                    if *c == 0 {
-                        self.ser_at.remove(&site);
+                    if delta > 0 {
+                        self.ser_at.entry(site).or_default().insert(key.1);
+                    } else if let Some(txns) = self.ser_at.get_mut(&site) {
+                        txns.remove(&key.1);
+                        if txns.is_empty() {
+                            self.ser_at.remove(&site);
+                        }
                     }
-                }
-                let c = self.ser_of.entry(key.1).or_default();
-                *c = c.wrapping_add_signed(delta);
-                if *c == 0 {
-                    self.ser_of.remove(&key.1);
                 }
             }
             QueueOpKind::Fin => self.fins = self.fins.wrapping_add_signed(delta),
@@ -88,13 +85,28 @@ impl WaitSet {
         }
     }
 
-    /// Remove by key, returning the operation.
-    pub fn remove(&mut self, key: &WaitKey) -> Option<QueueOp> {
-        let removed = self.ops.remove(key);
-        if removed.is_some() {
-            self.count(key, -1);
+    /// Remove the operation under `key` only if `pred` accepts it — one
+    /// map search either way, and a rejected operation stays in place
+    /// untouched. This is the engines' wake re-test: `pred` is `cond`.
+    pub(crate) fn take_if(
+        &mut self,
+        key: &WaitKey,
+        pred: impl FnOnce(&QueueOp) -> bool,
+    ) -> Option<QueueOp> {
+        let Entry::Occupied(entry) = self.ops.entry(*key) else {
+            return None;
+        };
+        if !pred(entry.get()) {
+            return None;
         }
-        removed
+        let op = entry.remove();
+        self.count(key, -1);
+        Some(op)
+    }
+
+    /// The waiting operation under `key`, if any.
+    pub(crate) fn get(&self, key: &WaitKey) -> Option<&QueueOp> {
+        self.ops.get(key)
     }
 
     /// Number of waiting operations.
@@ -159,14 +171,14 @@ impl WaitSet {
         self.ops.contains_key(&key).then_some(key)
     }
 
-    /// Number of waiting `Ser` operations at `site` (O(log n), maintained).
+    /// Number of waiting `Ser` operations at `site` (O(log m), maintained).
     pub fn ser_count_at(&self, site: SiteId) -> usize {
-        self.ser_at.get(&site).copied().unwrap_or(0)
+        self.ser_at.get(&site).map_or(0, BTreeSet::len)
     }
 
-    /// Number of waiting `Ser` operations of `txn` (O(log n), maintained).
+    /// Number of waiting `Ser` operations of `txn` (O(log n + count)).
     pub fn ser_count_of(&self, txn: GlobalTxnId) -> usize {
-        self.ser_of.get(&txn).copied().unwrap_or(0)
+        self.ser_range_of(txn).count()
     }
 
     /// Number of waiting `Fin` operations (O(1), maintained).
@@ -179,53 +191,89 @@ impl WaitSet {
         self.inits
     }
 
-    fn kind_range(
-        &self,
-        kind: QueueOpKind,
-    ) -> std::collections::btree_map::Range<'_, WaitKey, QueueOp> {
+    fn kind_range(&self, kind: QueueOpKind) -> btree_map::Range<'_, WaitKey, QueueOp> {
         let lo = (kind, GlobalTxnId(0), None);
         let hi = (kind, GlobalTxnId(u64::MAX), Some(SiteId(u32::MAX)));
         self.ops.range(lo..=hi)
     }
 
+    fn ser_range_of(&self, txn: GlobalTxnId) -> btree_map::Range<'_, WaitKey, QueueOp> {
+        let lo = (QueueOpKind::Ser, txn, None);
+        let hi = (QueueOpKind::Ser, txn, Some(SiteId(u32::MAX)));
+        self.ops.range(lo..=hi)
+    }
+
+    /// Keys of the waiting `Ser` operations at `site`, from the per-site
+    /// index (same keys, same order as [`ser_keys_at`](Self::ser_keys_at)).
+    fn indexed_ser_at(&self, site: SiteId) -> impl Iterator<Item = WaitKey> + '_ {
+        self.ser_at
+            .get(&site)
+            .into_iter()
+            .flatten()
+            .map(move |&txn| (QueueOpKind::Ser, txn, Some(site)))
+    }
+
+    fn fin_key_iter(&self) -> impl Iterator<Item = WaitKey> + '_ {
+        self.kind_range(QueueOpKind::Fin).map(|(k, _)| *k)
+    }
+
     /// Materialize `cands` into `out` without allocating: the symbolic
     /// variants ([`WakeCandidates::SerAt`], …) are resolved against the
-    /// current WAIT set via range scans over the key-ordered map, producing
-    /// exactly the keys (in exactly the order) the eager
-    /// [`keys`](Self::keys)/[`ser_keys_at`](Self::ser_keys_at)-style
-    /// helpers would have collected. Returns the number of keys appended.
-    pub fn resolve_into(&self, cands: &WakeCandidates, out: &mut VecDeque<WaitKey>) -> usize {
+    /// current WAIT set, producing exactly the keys (in exactly the order)
+    /// the eager [`keys`](Self::keys)/[`ser_keys_at`](Self::ser_keys_at)-
+    /// style helpers would have collected, each as a
+    /// [`Candidate::Retest`].
+    ///
+    /// [`WakeCandidates::SerAtChargedFins`]' fins were charged by the
+    /// scheme: they are appended (as [`Candidate::Charged`]) only when
+    /// `traced`, so a trace sink can still see their `cond = false`.
+    /// Returns the number of candidates examined — appended, plus charged
+    /// fins that were not — which is what the wake-scan histogram counts.
+    pub fn resolve_into(
+        &self,
+        cands: &WakeCandidates,
+        traced: bool,
+        out: &mut VecDeque<Candidate>,
+    ) -> usize {
         let before = out.len();
+        let retest = Candidate::Retest;
         match cands {
             WakeCandidates::None => {}
-            WakeCandidates::All => out.extend(self.ops.keys().copied()),
-            WakeCandidates::Keys(keys) => out.extend(keys.iter().copied()),
-            WakeCandidates::One(key) => out.push_back(*key),
-            WakeCandidates::SerAt(site) => out.extend(
-                self.kind_range(QueueOpKind::Ser)
-                    .filter(|((_, _, s), _)| *s == Some(*site))
-                    .map(|(k, _)| *k),
-            ),
-            WakeCandidates::Fins => out.extend(self.kind_range(QueueOpKind::Fin).map(|(k, _)| *k)),
+            WakeCandidates::All => out.extend(self.ops.keys().copied().map(retest)),
+            WakeCandidates::Keys(keys) => out.extend(keys.iter().copied().map(retest)),
+            WakeCandidates::One(key) => out.push_back(retest(*key)),
+            WakeCandidates::SerAt(site) => out.extend(self.indexed_ser_at(*site).map(retest)),
+            WakeCandidates::Fins => out.extend(self.fin_key_iter().map(retest)),
             WakeCandidates::SerAtThenFins(site) => {
-                out.extend(
-                    self.kind_range(QueueOpKind::Ser)
-                        .filter(|((_, _, s), _)| *s == Some(*site))
-                        .map(|(k, _)| *k),
-                );
-                out.extend(self.kind_range(QueueOpKind::Fin).map(|(k, _)| *k));
+                out.extend(self.indexed_ser_at(*site).map(retest));
+                out.extend(self.fin_key_iter().map(retest));
+            }
+            WakeCandidates::SerAtChargedFins(site) => {
+                out.extend(self.indexed_ser_at(*site).map(retest));
+                if !traced {
+                    return out.len() - before + self.fins;
+                }
+                out.extend(self.fin_key_iter().map(Candidate::Charged));
             }
             WakeCandidates::Inits => {
-                out.extend(self.kind_range(QueueOpKind::Init).map(|(k, _)| *k))
+                out.extend(self.kind_range(QueueOpKind::Init).map(|(k, _)| retest(*k)))
             }
             WakeCandidates::SerOf(txn) => {
-                let lo = (QueueOpKind::Ser, *txn, None);
-                let hi = (QueueOpKind::Ser, *txn, Some(SiteId(u32::MAX)));
-                out.extend(self.ops.range(lo..=hi).map(|(k, _)| *k));
+                out.extend(self.ser_range_of(*txn).map(|(k, _)| retest(*k)))
             }
         }
         out.len() - before
     }
+}
+
+/// One entry of an engine's wake worklist.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Candidate {
+    /// Re-test the waiter: evaluate `cond` and act it if eligible.
+    Retest(WaitKey),
+    /// A re-test the scheme proved fails and has already charged: nothing
+    /// runs, but a trace sink still records its `cond = false`.
+    Charged(WaitKey),
 }
 
 /// Which waiting operations may have become eligible after an `act`.
@@ -252,6 +300,10 @@ pub enum WakeCandidates {
     /// Every waiting `Ser` at the site, then every waiting `Fin` (the
     /// order Scheme 1's ack path re-tests in).
     SerAtThenFins(SiteId),
+    /// As [`SerAtThenFins`](Self::SerAtThenFins), but the scheme has
+    /// proved every fin re-test fails and charged them itself: the engine
+    /// counts the fins as examined without running their `cond`.
+    SerAtChargedFins(SiteId),
     /// Every waiting `Init`.
     Inits,
     /// Every waiting `Ser` of one transaction.
@@ -403,7 +455,7 @@ pub trait Gtm2Scheme {
     /// After `act(acted)`, which waiting operations might now satisfy their
     /// `cond`? Charged to `steps` as wait-scan work.
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,
@@ -411,6 +463,14 @@ pub trait Gtm2Scheme {
         let _ = acted;
         steps.bump(mdbs_common::step::StepKind::WaitScan, wait.len() as u64);
         WakeCandidates::All
+    }
+
+    /// WAIT membership hook: the engine calls this when `op` enters WAIT
+    /// (`waiting = true`) and when it leaves WAIT to be acted (`false`).
+    /// A failed re-test leaves WAIT untouched and makes no call. Lets a
+    /// scheme keep aggregates over its waiters; the default ignores it.
+    fn on_wait(&mut self, op: &QueueOp, waiting: bool) {
+        let _ = (op, waiting);
     }
 
     /// Bound on where [`wake_candidates`](Self::wake_candidates) keys can
@@ -452,13 +512,16 @@ impl Gtm2Scheme for FullRescan {
         self.0.act(op, steps)
     }
     fn wake_candidates(
-        &self,
+        &mut self,
         _acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,
     ) -> WakeCandidates {
         steps.bump(mdbs_common::step::StepKind::WaitScan, wait.len() as u64);
         WakeCandidates::All
+    }
+    fn on_wait(&mut self, op: &QueueOp, waiting: bool) {
+        self.0.on_wait(op, waiting);
     }
     fn debug_validate(&self) {
         self.0.debug_validate();
@@ -633,7 +696,11 @@ mod tests {
         assert_eq!(w.ser_keys_at(SiteId(3)).len(), 0);
         assert!(w.ser_key(GlobalTxnId(1), SiteId(2)).is_some());
         let key = wait_key(&op);
-        assert_eq!(w.remove(&key), Some(op));
+        assert_eq!(w.take_if(&key, |_| false), None);
+        assert_eq!(w.get(&key), Some(&op));
+        assert_eq!(w.take_if(&key, |_| true), Some(op));
+        assert_eq!(w.ser_count_at(SiteId(2)), 0);
+        assert_eq!(w.take_if(&key, |_| true), None);
         assert!(w.is_empty());
     }
 
@@ -677,20 +744,39 @@ mod tests {
         assert_eq!(w.fin_count(), 1);
         assert_eq!(w.init_count(), 1);
 
-        let mut buf = VecDeque::new();
-        let n = w.resolve_into(&WakeCandidates::SerAtThenFins(SiteId(0)), &mut buf);
+        let resolve = |cands: &WakeCandidates, traced: bool| {
+            let mut buf = VecDeque::new();
+            let n = w.resolve_into(cands, traced, &mut buf);
+            (n, Vec::from(buf))
+        };
+        let retest =
+            |keys: Vec<WaitKey>| keys.into_iter().map(Candidate::Retest).collect::<Vec<_>>();
         let mut expect = w.ser_keys_at(SiteId(0));
         expect.extend(w.fin_keys());
-        assert_eq!(n, expect.len());
-        assert_eq!(Vec::from(buf.clone()), expect);
-
-        buf.clear();
-        w.resolve_into(&WakeCandidates::SerOf(GlobalTxnId(2)), &mut buf);
-        assert_eq!(Vec::from(buf.clone()), w.ser_keys_of(GlobalTxnId(2)));
-
-        buf.clear();
-        w.resolve_into(&WakeCandidates::Inits, &mut buf);
-        assert_eq!(Vec::from(buf.clone()), w.init_keys());
+        assert_eq!(
+            resolve(&WakeCandidates::SerAtThenFins(SiteId(0)), false),
+            (expect.len(), retest(expect.clone()))
+        );
+        assert_eq!(
+            resolve(&WakeCandidates::SerOf(GlobalTxnId(2)), false).1,
+            retest(w.ser_keys_of(GlobalTxnId(2)))
+        );
+        assert_eq!(
+            resolve(&WakeCandidates::Inits, false).1,
+            retest(w.init_keys())
+        );
+        // Charged fins count as examined; only a traced resolve lists them.
+        let sers = retest(w.ser_keys_at(SiteId(0)));
+        assert_eq!(
+            resolve(&WakeCandidates::SerAtChargedFins(SiteId(0)), false),
+            (expect.len(), sers.clone())
+        );
+        let mut charged = sers;
+        charged.extend(w.fin_keys().into_iter().map(Candidate::Charged));
+        assert_eq!(
+            resolve(&WakeCandidates::SerAtChargedFins(SiteId(0)), true),
+            (expect.len(), charged)
+        );
 
         // Replacing an op must not double-count; removal must decrement.
         w.insert(QueueOp::Ser {
@@ -698,10 +784,105 @@ mod tests {
             site: SiteId(0),
         });
         assert_eq!(w.ser_count_at(SiteId(0)), 2);
-        w.remove(&(QueueOpKind::Ser, GlobalTxnId(1), Some(SiteId(0))));
+        w.take_if(&(QueueOpKind::Ser, GlobalTxnId(1), Some(SiteId(0))), |_| {
+            true
+        });
         assert_eq!(w.ser_count_at(SiteId(0)), 1);
-        w.remove(&(QueueOpKind::Fin, GlobalTxnId(3), None));
+        w.take_if(&(QueueOpKind::Fin, GlobalTxnId(3), None), |_| true);
         assert_eq!(w.fin_count(), 0);
+    }
+
+    /// Random insert/take sequences: every `resolve_into` variant
+    /// yields the eager helpers' keys in the same order, and the per-site
+    /// index agrees with the key-ordered map.
+    #[test]
+    fn resolve_into_matches_eager_helpers_on_random_sequences() {
+        use rand::{Rng, SeedableRng};
+        let sites = [SiteId(0), SiteId(1), SiteId(2), SiteId(7)];
+        for seed in 0..64u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut w = WaitSet::new();
+            for _ in 0..200 {
+                let txn = GlobalTxnId(rng.gen_range(0..12));
+                let site = sites[rng.gen_range(0..sites.len())];
+                let op = match rng.gen_range(0..4) {
+                    0 => QueueOp::Init {
+                        txn,
+                        sites: vec![site],
+                    },
+                    1 => QueueOp::Ack { txn, site },
+                    2 => QueueOp::Fin { txn },
+                    _ => QueueOp::Ser { txn, site },
+                };
+                let key = wait_key(&op);
+                match rng.gen_range(0..2) {
+                    0 => w.insert(op),
+                    _ => {
+                        let accept = rng.gen_bool(0.5);
+                        let had = w.get(&key).is_some();
+                        assert_eq!(w.take_if(&key, |_| accept).is_some(), had && accept);
+                    }
+                }
+                check_resolve(&w, &sites);
+            }
+        }
+    }
+
+    fn check_resolve(w: &WaitSet, sites: &[SiteId]) {
+        let resolve = |cands: WakeCandidates, traced: bool| {
+            let mut buf = VecDeque::new();
+            let n = w.resolve_into(&cands, traced, &mut buf);
+            (n, Vec::from(buf))
+        };
+        let retest = |keys: Vec<WaitKey>| {
+            let n = keys.len();
+            (
+                n,
+                keys.into_iter().map(Candidate::Retest).collect::<Vec<_>>(),
+            )
+        };
+        assert_eq!(resolve(WakeCandidates::All, false), retest(w.keys()));
+        assert_eq!(resolve(WakeCandidates::Fins, false), retest(w.fin_keys()));
+        assert_eq!(resolve(WakeCandidates::Inits, false), retest(w.init_keys()));
+        assert_eq!(w.fin_count(), w.fin_keys().len());
+        assert_eq!(w.init_count(), w.init_keys().len());
+        for txn in (0..12).map(GlobalTxnId) {
+            assert_eq!(
+                resolve(WakeCandidates::SerOf(txn), false),
+                retest(w.ser_keys_of(txn))
+            );
+            assert_eq!(w.ser_count_of(txn), w.ser_keys_of(txn).len());
+        }
+        let mut indexed = 0;
+        for &site in sites {
+            let sers = w.ser_keys_at(site);
+            indexed += sers.len();
+            assert_eq!(w.ser_count_at(site), sers.len());
+            assert_eq!(
+                resolve(WakeCandidates::SerAt(site), false),
+                retest(sers.clone())
+            );
+            let mut then_fins = sers.clone();
+            then_fins.extend(w.fin_keys());
+            let examined = then_fins.len();
+            assert_eq!(
+                resolve(WakeCandidates::SerAtThenFins(site), false),
+                retest(then_fins)
+            );
+            let (n, untraced) = resolve(WakeCandidates::SerAtChargedFins(site), false);
+            assert_eq!((n, untraced), (examined, retest(sers.clone()).1));
+            let mut charged = retest(sers).1;
+            charged.extend(w.fin_keys().into_iter().map(Candidate::Charged));
+            assert_eq!(
+                resolve(WakeCandidates::SerAtChargedFins(site), true),
+                (examined, charged)
+            );
+        }
+        let all_sers = w.keys().iter().filter(|k| k.0 == QueueOpKind::Ser).count();
+        assert_eq!(
+            indexed, all_sers,
+            "per-site index sizes sum to the Ser waiters"
+        );
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl Gtm2Scheme for Scheme0 {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

@@ -210,7 +210,7 @@ impl Gtm2Scheme for Scheme1 {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

@@ -199,7 +199,7 @@ impl Gtm2Scheme for Scheme2 {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

@@ -205,7 +205,7 @@ impl Gtm2Scheme for Scheme3 {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

@@ -135,7 +135,7 @@ impl Gtm2Scheme for SiteGraphScheme {
     }
 
     fn wake_candidates(
-        &self,
+        &mut self,
         acted: &QueueOp,
         wait: &WaitSet,
         steps: &mut StepCounter,

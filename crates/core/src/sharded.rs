@@ -32,8 +32,9 @@
 //! waits for the target's next poll tick). Receiving shards re-run
 //! `wake_candidates`/`cond` against *current* global state, so handoffs
 //! are idempotent re-test hints: a stale or duplicate handoff finds the
-//! waiter already gone (its key is removed from WAIT before the re-test)
-//! and wakes nothing — this is what makes the wake exactly-once.
+//! waiter already gone (an eligible waiter leaves WAIT in the same step
+//! that re-tests it, see `gtm2::retest`) and wakes nothing — this
+//! is what makes the wake exactly-once.
 //!
 //! ## Lock order
 //!
@@ -44,8 +45,8 @@
 //! pump path never blocks; the acquisition order is visible in the
 //! `lock_order.dot` artifact emitted by mdbs-lint.
 
-use crate::gtm2::Gtm2Stats;
-use crate::scheme::{Gtm2Scheme, KernelKind, SchemeEffect, SchemeKind, WaitKey, WaitSet};
+use crate::gtm2::{retest, Gtm2Stats};
+use crate::scheme::{Candidate, Gtm2Scheme, KernelKind, SchemeEffect, SchemeKind, WaitSet};
 use crate::ser_s::SerSLog;
 use mdbs_common::ids::GlobalTxnId;
 use mdbs_common::instrument::{Histogram, Registry, SchedEvent, StderrSink, TraceSink};
@@ -158,7 +159,7 @@ struct ShardCore {
     wake_scan: Histogram,
     /// Reusable buffer for the cascading wake worklist (no per-act
     /// allocation).
-    wake_buf: VecDeque<WaitKey>,
+    wake_buf: VecDeque<Candidate>,
     /// Peak size of this shard's WAIT partition.
     wait_peak: u64,
     /// Handoff messages actually delivered into this shard.
@@ -764,8 +765,9 @@ impl std::fmt::Debug for ShardedGtm2 {
 // The Basic_Scheme slot logic, shared by the locked and lock-free paths.
 // The free functions operate on a shard core + the global core and mirror
 // `Gtm2::pump`/`Gtm2::do_act` exactly (same stats, steps, sink events and
-// effect bookkeeping), with one addition: acted operations also collect
-// their cross-shard handoff targets.
+// effect bookkeeping; the WAIT re-test itself is the shared
+// `gtm2::retest`), with one addition: acted operations also collect their
+// cross-shard handoff targets.
 // ----------------------------------------------------------------------
 
 /// Record and count an arriving operation (`Gtm2::enqueue` equivalent).
@@ -826,6 +828,7 @@ fn process_op(
         }
         global.stats.waited += 1;
         bump_waited_kind(&mut global.stats, op.kind());
+        global.scheme.on_wait(&op, true);
         core.wait.insert(op);
         global.wait_live += 1;
         global.stats.peak_wait = global.stats.peak_wait.max(global.wait_live);
@@ -866,7 +869,7 @@ fn act_one(
     core: &mut ShardCore,
     global: &mut GlobalCore,
     out: &mut PumpOut,
-    candidates: &mut VecDeque<WaitKey>,
+    candidates: &mut VecDeque<Candidate>,
 ) {
     if let Some(sink) = &mut global.sink {
         let ev = if woken {
@@ -914,13 +917,15 @@ fn local_candidates(
     acted: &QueueOp,
     core: &mut ShardCore,
     global: &mut GlobalCore,
-    candidates: &mut VecDeque<WaitKey>,
+    candidates: &mut VecDeque<Candidate>,
 ) {
     let wake = global
         .scheme
         .wake_candidates(acted, &core.wait, &mut global.steps);
-    let appended = core.wait.resolve_into(&wake, candidates);
-    core.wake_scan.observe(appended as u64);
+    let examined = core
+        .wait
+        .resolve_into(&wake, global.sink.is_some(), candidates);
+    core.wake_scan.observe(examined as u64);
 }
 
 /// Figure 3's inner loop over this shard's WAIT partition: act each
@@ -929,27 +934,25 @@ fn local_candidates(
 /// parks it back on the core when drained.
 fn cascade(
     ctx: SlotCtx,
-    mut candidates: VecDeque<WaitKey>,
+    mut candidates: VecDeque<Candidate>,
     core: &mut ShardCore,
     global: &mut GlobalCore,
     out: &mut PumpOut,
 ) {
-    while let Some(key) = candidates.pop_front() {
-        // The op may have been woken (or re-examined) already — this is
-        // also what makes stale/duplicate handoff hints harmless.
-        let Some(waiting) = core.wait.remove(&key) else {
-            continue;
-        };
-        global.wait_live = global.wait_live.saturating_sub(1);
-        let eligible = global.scheme.cond(&waiting, &mut global.steps);
-        if let Some(sink) = &mut global.sink {
-            sink.record(global.clock, SchedEvent::cond(&waiting, eligible));
-        }
-        if eligible {
-            act_one(ctx, &waiting, true, core, global, out, &mut candidates);
-        } else {
-            core.wait.insert(waiting);
-            global.wait_live += 1;
+    while let Some(candidate) = candidates.pop_front() {
+        // A key already woken (or a stale/duplicate handoff hint) finds
+        // nothing to re-test — this is what makes handoffs harmless.
+        let woken = retest(
+            candidate,
+            &mut core.wait,
+            global.scheme.as_mut(),
+            &mut global.steps,
+            &mut global.sink,
+            global.clock,
+        );
+        if let Some(woken) = woken {
+            global.wait_live = global.wait_live.saturating_sub(1);
+            act_one(ctx, &woken, true, core, global, out, &mut candidates);
         }
     }
     core.wake_buf = candidates;

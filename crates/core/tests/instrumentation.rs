@@ -3,11 +3,12 @@
 //! guarantee that attaching a sink never changes scheduling behavior.
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
-use mdbs_common::instrument::{Registry, SchedEvent, SharedSink};
-use mdbs_common::ops::QueueOp;
+use mdbs_common::instrument::{Registry, SchedEvent, SharedSink, TraceSink, TracedEvent};
+use mdbs_common::ops::{QueueOp, QueueOpKind};
+use mdbs_common::step::StepCounter;
 use mdbs_core::gtm2::Gtm2;
 use mdbs_core::replay::{replay_with, Script};
-use mdbs_core::scheme::{ProtocolViolationKind, SchemeEffect, SchemeKind};
+use mdbs_core::scheme::{KernelKind, ProtocolViolationKind, SchemeEffect, SchemeKind};
 use mdbs_core::scheme0::Scheme0;
 
 fn g(i: u64) -> GlobalTxnId {
@@ -236,10 +237,117 @@ fn sinks_do_not_change_scheduling() {
                 plain.steps, observed.steps,
                 "{kind:?} seed {seed}: step counts diverged with a sink attached"
             );
+            assert_eq!(
+                (plain.wake_scan_count, plain.wake_scan_sum),
+                (observed.wake_scan_count, observed.wake_scan_sum),
+                "{kind:?} seed {seed}: wake-scan work diverged with a sink attached"
+            );
             assert_eq!(plain.completed, observed.completed);
             assert_eq!(plain.ser_serializable, observed.ser_serializable);
             // And the observation itself is non-trivial.
             assert!(!sink.is_empty(), "{kind:?} seed {seed}: no events recorded");
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Scheme 1's dense kernel charges an ack's fin re-tests in aggregate
+// without running them. A sink must still see the event stream of the
+// literal re-tests (the BTree reference runs them all), and the skipped
+// re-tests are counted as `gtm2.wake_retests_aggregated`.
+// ---------------------------------------------------------------------
+
+/// What one Scheme 1 run exposes: trace, metrics, steps, wake totals.
+type Scheme1Run = (Vec<TracedEvent>, Registry, StepCounter, (u64, u64));
+
+fn scheme1_run(kernel: KernelKind, traced: bool, ops: &[QueueOp]) -> Scheme1Run {
+    let sink = SharedSink::new();
+    let mut e = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+    e.set_sink(traced.then(|| Box::new(sink.clone()) as Box<dyn TraceSink + Send>));
+    for op in ops {
+        e.enqueue(op.clone());
+        e.pump();
+    }
+    let mut registry = Registry::default();
+    e.export_metrics(&mut registry);
+    let wake = e.wake_scan_histogram();
+    (
+        sink.drain(),
+        registry,
+        e.steps(),
+        (wake.count(), wake.sum()),
+    )
+}
+
+#[test]
+fn aggregated_fin_retests_trace_like_literal_ones() {
+    let ser = |t: u64, k: u32| QueueOp::Ser {
+        txn: g(t),
+        site: s(k),
+    };
+    let ack = |t: u64, k: u32| QueueOp::Ack {
+        txn: g(t),
+        site: s(k),
+    };
+    let mut ops: Vec<QueueOp> = [(1, 0), (2, 0), (3, 1)]
+        .into_iter()
+        .map(|(t, k)| QueueOp::Init {
+            txn: g(t),
+            sites: vec![s(k)],
+        })
+        .collect();
+    // fin_2 waits behind G1's delete-queue entry at s0; G3's ack then
+    // charges its re-test in aggregate; fin_1 finally wakes it.
+    ops.extend([
+        ser(1, 0),
+        ack(1, 0),
+        ser(2, 0),
+        ack(2, 0),
+        QueueOp::Fin { txn: g(2) },
+        ser(3, 1),
+        ack(3, 1),
+        QueueOp::Fin { txn: g(1) },
+        QueueOp::Fin { txn: g(3) },
+    ]);
+    let (literal, ..) = scheme1_run(KernelKind::BTree, true, &ops);
+    let (traced, traced_metrics, traced_steps, traced_wake) =
+        scheme1_run(KernelKind::Dense, true, &ops);
+    let (silent, metrics, steps, wake) = scheme1_run(KernelKind::Dense, false, &ops);
+    assert_eq!(traced, literal, "trace differs from the literal re-tests");
+    assert!(silent.is_empty());
+    let skipped = SchedEvent::Cond {
+        kind: QueueOpKind::Fin,
+        txn: g(2),
+        site: None,
+        eligible: false,
+    };
+    // Once on arrival, once for the re-test charged at G3's ack.
+    assert_eq!(traced.iter().filter(|ev| ev.event == skipped).count(), 2);
+    assert_eq!(metrics.counter("gtm2.wake_retests_aggregated"), 1);
+    assert_eq!(traced_metrics.counter("gtm2.wake_retests_aggregated"), 1);
+    assert_eq!((traced_steps, traced_wake), (steps, wake));
+}
+
+#[test]
+fn scheme1_dense_trace_matches_literal_reference() {
+    for seed in 0..8u64 {
+        let script = Script::random(24, 5, 2.5, seed);
+        let run = |kernel: KernelKind| {
+            let sink = SharedSink::new();
+            let mut engine = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+            engine.set_sink(Some(Box::new(sink.clone())));
+            let out = replay_with(engine, &script);
+            (
+                sink.drain(),
+                out.steps,
+                out.wake_scan_count,
+                out.wake_scan_sum,
+            )
+        };
+        assert_eq!(
+            run(KernelKind::Dense),
+            run(KernelKind::BTree),
+            "seed {seed}: Scheme 1 trace diverged from the literal reference"
+        );
     }
 }

@@ -18,11 +18,13 @@
 //!   oracle finds (it may over-approximate, never under-approximate).
 
 use mdbs_common::ids::{GlobalTxnId, SiteId};
+use mdbs_common::instrument::Registry;
 use mdbs_common::ops::QueueOp;
 use mdbs_common::step::StepCounter;
-use mdbs_core::gtm2::Gtm2;
+use mdbs_core::gtm2::{Gtm2, Gtm2Stats};
 use mdbs_core::replay::{replay_kernel, replay_sharded_kernel, Script, ScriptEvent};
 use mdbs_core::scheme::{KernelKind, SchemeEffect, SchemeKind};
+use mdbs_core::sharded::ShardedGtm2;
 use mdbs_core::tsgd::{eliminate_cycles, Dep, Tsgd};
 use mdbs_core::tsgd_dense::{
     eliminate_cycles_dense, eliminate_cycles_dense_with, DenseTsgd, EliminateScratch,
@@ -435,5 +437,323 @@ proptest! {
             dense.dep_groups(), expected,
             "collapsed SCC groups diverged from the offline oracle"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile Scheme 1 input. The dense kernel charges an ack's fin re-tests
+// in aggregate only while every waiting fin is known to fail; a fin
+// enqueued ahead of its own ack, or a transaction re-announced while its
+// fin waits, sends it down the literal re-test path. The BTree reference
+// always re-tests literally, so it is the oracle for both paths.
+// ---------------------------------------------------------------------
+
+/// Engine surface the hostile drivers need, for both engines.
+trait HostileEngine {
+    fn push(&mut self, op: QueueOp);
+    fn run(&mut self) -> Vec<SchemeEffect>;
+    /// `(steps, stats, wake-scan count, wake-scan sum)`.
+    fn observed(&self) -> (StepCounter, Gtm2Stats, u64, u64);
+}
+
+impl HostileEngine for Gtm2 {
+    fn push(&mut self, op: QueueOp) {
+        self.enqueue(op);
+    }
+    fn run(&mut self) -> Vec<SchemeEffect> {
+        self.pump()
+    }
+    fn observed(&self) -> (StepCounter, Gtm2Stats, u64, u64) {
+        let wake = self.wake_scan_histogram();
+        (self.steps(), self.stats(), wake.count(), wake.sum())
+    }
+}
+
+impl HostileEngine for ShardedGtm2 {
+    fn push(&mut self, op: QueueOp) {
+        self.enqueue_mut(op);
+    }
+    fn run(&mut self) -> Vec<SchemeEffect> {
+        self.pump_all()
+    }
+    fn observed(&self) -> (StepCounter, Gtm2Stats, u64, u64) {
+        let (count, sum) = self.wake_scan_totals();
+        (self.steps(), self.stats(), count, sum)
+    }
+}
+
+/// Everything a hostile run is compared on: every effect in order (the
+/// protocol violations, with their kinds, included) plus the counters.
+type HostileRun = (Vec<SchemeEffect>, StepCounter, Gtm2Stats, u64, u64);
+
+/// Feed `ops` one at a time, pumping after each.
+fn run_ops(engine: &mut impl HostileEngine, ops: &[QueueOp]) -> HostileRun {
+    let mut effects = Vec::new();
+    for op in ops {
+        engine.push(op.clone());
+        effects.extend(engine.run());
+    }
+    let (steps, stats, count, sum) = engine.observed();
+    (effects, steps, stats, count, sum)
+}
+
+/// Closed-loop replay of a valid script with a hostile GTM1: a
+/// transaction on two or more sites sends its `fin` right after its first
+/// forwarded ack (ahead of its own remaining acks), and every third
+/// transaction sends a second `fin` after its last ack.
+fn run_early_fins(engine: &mut impl HostileEngine, script: &Script) -> HostileRun {
+    let mut acks_left: BTreeMap<GlobalTxnId, usize> = BTreeMap::new();
+    let mut effects = Vec::new();
+    for ev in &script.events {
+        match ev {
+            ScriptEvent::Init(txn, sites) => {
+                acks_left.insert(*txn, sites.len());
+                engine.push(QueueOp::Init {
+                    txn: *txn,
+                    sites: sites.clone(),
+                });
+            }
+            ScriptEvent::Ser(txn, site) => engine.push(QueueOp::Ser {
+                txn: *txn,
+                site: *site,
+            }),
+        }
+        loop {
+            let fx = engine.run();
+            if fx.is_empty() {
+                break;
+            }
+            for effect in &fx {
+                match *effect {
+                    SchemeEffect::SubmitSer { txn, site } => {
+                        engine.push(QueueOp::Ack { txn, site });
+                    }
+                    SchemeEffect::ForwardAck { txn, .. } => {
+                        let Some(left) = acks_left.get_mut(&txn) else {
+                            continue;
+                        };
+                        let degree = script
+                            .events
+                            .iter()
+                            .find_map(|e| match e {
+                                ScriptEvent::Init(t, sites) if *t == txn => Some(sites.len()),
+                                _ => None,
+                            })
+                            .unwrap_or(0);
+                        if degree >= 2 && *left == degree {
+                            engine.push(QueueOp::Fin { txn });
+                        }
+                        *left -= 1;
+                        if *left == 0 {
+                            if degree < 2 {
+                                engine.push(QueueOp::Fin { txn });
+                            }
+                            if txn.0 % 3 == 0 {
+                                engine.push(QueueOp::Fin { txn });
+                            }
+                        }
+                    }
+                    SchemeEffect::AbortGlobal { .. } | SchemeEffect::ProtocolViolation { .. } => {}
+                }
+            }
+            effects.extend(fx);
+        }
+    }
+    let (steps, stats, count, sum) = engine.observed();
+    (effects, steps, stats, count, sum)
+}
+
+// Hostile input may break a scheme's internal-consistency check by design
+// (a re-announced transaction sits in an insert and a delete queue at
+// once), so the hostile engines run unvalidated: behaviour is compared.
+fn scheme1(kernel: KernelKind) -> Gtm2 {
+    let mut engine = Gtm2::new(SchemeKind::Scheme1.build_kernel(kernel));
+    engine.set_validate(false);
+    engine
+}
+
+fn scheme1_sharded(kernel: KernelKind, nshards: usize) -> ShardedGtm2 {
+    let mut engine = ShardedGtm2::new_with_kernel(SchemeKind::Scheme1, kernel, nshards);
+    engine.set_validate(false);
+    engine
+}
+
+/// Hand-written hostile Scheme 1 scripts: each mixes waiting fins the
+/// aggregate charge skips with the cases that must fall back to literal
+/// re-tests.
+fn hostile_scripts() -> Vec<(&'static str, Vec<QueueOp>)> {
+    let g = GlobalTxnId;
+    let s = SiteId;
+    let init = |t: u64, sites: &[u32]| QueueOp::Init {
+        txn: g(t),
+        sites: sites.iter().map(|&k| s(k)).collect(),
+    };
+    let ser = |t: u64, k: u32| QueueOp::Ser {
+        txn: g(t),
+        site: s(k),
+    };
+    let ack = |t: u64, k: u32| QueueOp::Ack {
+        txn: g(t),
+        site: s(k),
+    };
+    let fin = |t: u64| QueueOp::Fin { txn: g(t) };
+    vec![
+        (
+            // fin_2 is enqueued between its two acks and waits for its
+            // s1 delete queue; G3's ack charges fin_2's re-test in
+            // aggregate; G2's second ack finds fin_2 waiting, re-tests it
+            // literally and wakes it; G1's duplicate fin is unmatched.
+            "fin before its own ack",
+            vec![
+                init(1, &[0, 1]),
+                init(2, &[0, 1]),
+                init(3, &[2]),
+                ser(1, 0),
+                ser(1, 1),
+                ack(1, 0),
+                ack(1, 1),
+                fin(1),
+                ser(2, 0),
+                ack(2, 0),
+                fin(2),
+                ser(3, 2),
+                ack(3, 2),
+                ser(2, 1),
+                ack(2, 1),
+                fin(1),
+                fin(3),
+            ],
+        ),
+        (
+            // fin_2 waits and is enqueued again while it waits; fin_3
+            // waits too, so acks see two waiting fins, then a cascade
+            // of fin acts drains both.
+            "duplicate fins while waiting",
+            vec![
+                init(1, &[0, 1]),
+                init(2, &[0]),
+                init(3, &[1, 2]),
+                init(4, &[2]),
+                ser(1, 0),
+                ack(1, 0),
+                ser(2, 0),
+                ack(2, 0),
+                fin(2),
+                fin(2),
+                ser(1, 1),
+                ack(1, 1),
+                ser(3, 1),
+                ack(3, 1),
+                ser(3, 2),
+                ack(3, 2),
+                fin(3),
+                ser(4, 2),
+                ack(4, 2),
+                fin(2),
+                fin(1),
+                fin(4),
+                fin(2),
+            ],
+        ),
+        (
+            // G3's ack charges the waiting fin_2 in aggregate; then G2 is
+            // announced again, which makes fin_2 eligible with no re-test
+            // to see it, so G4's ack must re-test fins literally.
+            "re-announced transaction with a waiting fin",
+            vec![
+                init(1, &[0]),
+                init(2, &[0, 1]),
+                init(3, &[2]),
+                init(4, &[3]),
+                ser(1, 0),
+                ack(1, 0),
+                ser(2, 0),
+                ack(2, 0),
+                ser(2, 1),
+                ack(2, 1),
+                fin(2),
+                ser(3, 2),
+                ack(3, 2),
+                init(2, &[1]),
+                ser(4, 3),
+                ack(4, 3),
+                fin(1),
+                fin(3),
+                fin(4),
+                fin(2),
+            ],
+        ),
+        (
+            // G2 is announced again on fewer sites while its fin waits
+            // and stays blocked: G3's ack re-tests literally, and G4's
+            // ack charges the fin's re-test at its new, smaller price.
+            "re-announced transaction whose fin keeps waiting",
+            vec![
+                init(1, &[0]),
+                init(2, &[0, 1]),
+                init(3, &[2]),
+                init(4, &[3]),
+                ser(1, 0),
+                ack(1, 0),
+                ser(2, 0),
+                ack(2, 0),
+                ser(2, 1),
+                ack(2, 1),
+                fin(2),
+                init(2, &[0]),
+                ser(3, 2),
+                ack(3, 2),
+                ser(4, 3),
+                ack(4, 3),
+                fin(1),
+                fin(3),
+                fin(4),
+            ],
+        ),
+    ]
+}
+
+#[test]
+fn hostile_scheme1_scripts_match_reference() {
+    for (label, ops) in hostile_scripts() {
+        let reference = run_ops(&mut scheme1(KernelKind::BTree), &ops);
+        let mut engine = scheme1(KernelKind::Dense);
+        let dense = run_ops(&mut engine, &ops);
+        assert_eq!(reference, dense, "{label}: Gtm2 dense vs BTree");
+        let mut registry = Registry::default();
+        engine.export_metrics(&mut registry);
+        assert!(
+            registry.counter("gtm2.wake_retests_aggregated") > 0,
+            "{label}: no fin re-test was charged in aggregate"
+        );
+        for nshards in [1, 3] {
+            let reference = run_ops(&mut scheme1_sharded(KernelKind::BTree, nshards), &ops);
+            let sharded = run_ops(&mut scheme1_sharded(KernelKind::Dense, nshards), &ops);
+            assert_eq!(
+                reference, sharded,
+                "{label}: {nshards} shards, dense vs BTree"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Early and duplicate fins on random scripts: the dense kernel's
+    /// literal fallback must reproduce the reference step for step,
+    /// through both engines.
+    #[test]
+    fn early_and_duplicate_fins_match_reference(
+        script in arb_script(),
+        nshards in 1usize..4,
+    ) {
+        let reference = run_early_fins(&mut scheme1(KernelKind::BTree), &script);
+        let dense = run_early_fins(&mut scheme1(KernelKind::Dense), &script);
+        prop_assert_eq!(&reference, &dense, "Gtm2 dense vs BTree");
+        let reference =
+            run_early_fins(&mut scheme1_sharded(KernelKind::BTree, nshards), &script);
+        let sharded = run_early_fins(&mut scheme1_sharded(KernelKind::Dense, nshards), &script);
+        prop_assert_eq!(&reference, &sharded, "{} shards, dense vs BTree", nshards);
     }
 }
